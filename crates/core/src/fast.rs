@@ -1,8 +1,8 @@
 //! The fast execution path ([`fs_tcu::ExecMode::Fast`]).
 //!
-//! Bit-identical to the simulator — same [`round_operand`] rounding of
-//! every operand, same f32 accumulation order inside every MMA, same
-//! output cast — but with all simulator scaffolding removed:
+//! Bit-identical to the simulator — the same operand values, the same f32
+//! summation order in every output cell, the same output cast — but with
+//! all simulator scaffolding removed:
 //!
 //! * **No fragment materialization.** `Fragment::from_tile`/`to_tile`
 //!   are exact bijections, so the MMA semantics reduce to a plain
@@ -11,10 +11,29 @@
 //!   `+0.0` can never become `-0.0` (IEEE round-to-nearest returns `+0`
 //!   for any exactly-zero sum unless both addends are `-0`), so the
 //!   skipped `+0.0` products can never flip a sign bit.
-//! * **Operands rounded once.** The simulator calls [`round_operand`]
-//!   on every operand of every MMA; rounding is a pure function, so the
-//!   fast path pre-rounds each sparse value once per window and each
-//!   dense element once per gather.
+//! * **Each dense element converted once per launch.** The simulator
+//!   calls [`round_operand`](fs_tcu::mma::round_operand) on every
+//!   operand of every MMA. For a value already stored as F16 or TF32
+//!   that rounding is the identity — `round_operand(S::to_f32(x), P) ==
+//!   S::to_f32(x)` bit for bit, which fs-precision's exhaustive tests
+//!   prove for all 65 536 halves and all TF32 lattice values — so the
+//!   launch widens each dense operand to one `f32` copy up front
+//!   (`DenseMatrix::to_f32_vec`) and each window widens its sparse
+//!   values once. No gather rounds anything.
+//! * **Column-vectorised tiles.** The simulator computes output cell
+//!   `(i, j)` of a window tile as `c += Σ_t b[t][i] · s[j][t]`: a fresh
+//!   `+0.0` accumulator per MMA walks `t` in ascending order, and the
+//!   block's sum is added to the running tile value. The SpMM loop keeps
+//!   exactly that per-cell order but runs it for all 16 columns of a
+//!   tile at once — for each window row `j`, a `[f32; N_TILE]`
+//!   accumulator walks the block's columns `t` in ascending order over
+//!   contiguous rows of the widened B — so the innermost loop is an
+//!   elementwise multiply-add over 16 lanes that LLVM auto-vectorises.
+//!   SDDMM does the same over the 8 window rows: the window's A rows are
+//!   stored `t`-major in 8 lanes, and each sampled column runs its
+//!   chunk sums, then the fold over chunks, across all lanes at once.
+//!   Lanes never mix, so every cell sees the simulator's sequence of
+//!   f32 operations and the output bits cannot change.
 //! * **Analytic counters.** MMA counts follow from block geometry;
 //!   memory transactions come from [`AnalyticCounter`] over closed-form
 //!   request spans ([`block_request_spans`]) instead of replaying
@@ -34,7 +53,6 @@ use std::cell::RefCell;
 use fs_format::MeBcrs;
 use fs_matrix::DenseMatrix;
 use fs_precision::Scalar;
-use fs_tcu::mma::round_operand;
 use fs_tcu::{AnalyticCounter, KernelCounters, MmaShape, TrafficClass};
 use rayon::steal;
 
@@ -51,17 +69,17 @@ use crate::variant::TcuPrecision;
 /// ignores this and schedules single windows, weighted by population.
 pub(crate) const WINDOW_BATCH: usize = 8;
 
+/// Rows of a row window: the MMA `n` of every FlashSparse shape, and
+/// the lane count of the SDDMM accumulators.
+const V: usize = 8;
+
 /// Reusable per-thread scratch for the fused kernels.
 #[derive(Default)]
 struct FastScratch {
-    /// Pre-rounded sparse values of the current window (SpMM) or the
-    /// pre-rounded dense rows (SDDMM).
-    rounded: Vec<f32>,
-    /// Second rounding buffer (SDDMM group rows).
-    rounded_b: Vec<f32>,
-    /// Gathered dense tile (SpMM left operand).
-    a_tile: Vec<f32>,
-    /// 16×8 output accumulator tile.
+    /// Widened sparse values of the current window (SpMM) or the
+    /// window's A rows, `t`-major in [`V`] lanes (SDDMM).
+    widened: Vec<f32>,
+    /// 8×16 (SpMM) or group×8 (SDDMM) output accumulator tile.
     c_tile: Vec<f32>,
     /// Closed-form transaction accounting.
     counter: AnalyticCounter,
@@ -128,16 +146,21 @@ pub(crate) fn spmm_fast_sched<S: TcuPrecision>(
     sched: SchedMode,
 ) -> (DenseMatrix<S>, KernelCounters) {
     let mut out = DenseMatrix::<S>::zeros(a.rows(), b.cols());
-    let counters = spmm_fast_into(a, b, mapping, shape, out.as_mut_slice(), sched);
+    let counters = spmm_fast_into(a, b, &b.to_f32_vec(), mapping, shape, out.as_mut_slice(), sched);
     (out, counters)
 }
 
 /// Fused SpMM into a caller-owned `rows × n` output slice — the slab
 /// entry point the overlapped cold path uses to execute one translated
 /// row-window slab directly into its region of the full output.
+///
+/// `b_f32` is `b.to_f32_vec()`: the launch's one widened copy of B,
+/// which every window reads instead of converting `b` itself (`b`
+/// still supplies the shape and the addresses the counters model).
 pub(crate) fn spmm_fast_into<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
+    b_f32: &[f32],
     mapping: ThreadMapping,
     shape: MmaShape,
     out: &mut [S],
@@ -147,7 +170,9 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
     let v = shape.n;
     let n = b.cols();
     let rows = a.rows();
+    assert_eq!(v, V, "FlashSparse windows are {V} rows tall");
     assert_eq!(out.len(), rows * n, "output slice must be rows × n");
+    assert_eq!(b_f32.len(), b.len(), "widened B must match B");
     if n == 0 || rows == 0 {
         return KernelCounters::default();
     }
@@ -176,6 +201,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
                     spmm_window(
                         a,
                         b,
+                        b_f32,
                         *w,
                         out_window,
                         shape,
@@ -201,6 +227,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
                     spmm_window(
                         a,
                         b,
+                        b_f32,
                         w,
                         out_window,
                         shape,
@@ -222,6 +249,7 @@ pub(crate) fn spmm_fast_into<S: TcuPrecision>(
 fn spmm_window<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
+    b_f32: &[f32],
     w: usize,
     out_window: &mut [S],
     shape: MmaShape,
@@ -247,14 +275,12 @@ fn spmm_window<S: TcuPrecision>(
     counters.mma_count += num_blocks as u64 * n_tiles;
     counters.tcu_flops += num_blocks as u64 * n_tiles * shape.flops();
 
-    let FastScratch { rounded, a_tile, c_tile, counter: ac, .. } = scratch;
+    let FastScratch { widened, c_tile, counter: ac } = scratch;
 
-    // ---- Pre-round the window's sparse values once. ----
+    // ---- Widen the window's sparse values once. ----
     let vals = &a.values()[a.window_ptr()[w] * v..a.window_ptr()[w + 1] * v];
-    reserve(rounded, vals.len());
-    for (dst, src) in rounded.iter_mut().zip(vals) {
-        *dst = round_operand(src.to_f32(), S::PRECISION);
-    }
+    widened.clear();
+    widened.extend(vals.iter().map(|x| x.to_f32()));
 
     // ---- Memory traffic, one pass over the blocks. ----
     for blk in 0..num_blocks {
@@ -316,44 +342,59 @@ fn spmm_window<S: TcuPrecision>(
         store(ac, counters, full_tiles * N_TILE, ragged, 1);
     }
 
-    // ---- Numerics: the fused gather-round-multiply kernel. ----
-    reserve(a_tile, N_TILE * k);
-    reserve(c_tile, N_TILE * v);
+    // ---- Numerics: column-vectorised tiles over the widened B. ----
+    reserve(c_tile, V * N_TILE);
+    let c_tile = &mut c_tile[..V * N_TILE];
     for j0 in (0..n).step_by(N_TILE) {
         let tile_cols = (n - j0).min(N_TILE);
-        c_tile[..N_TILE * v].fill(0.0);
-
+        c_tile.fill(0.0);
         for blk in 0..num_blocks {
             let w_b = a.block_width(w, blk);
             let cols = a.block_cols(w, blk);
-
-            for (t, &c) in cols.iter().enumerate() {
-                let brow = b.row(c as usize);
-                for i in 0..tile_cols {
-                    a_tile[i * k + t] = round_operand(brow[j0 + i].to_f32(), S::PRECISION);
-                }
-            }
-
-            // Same accumulation order as `mma_execute`: ascending t,
-            // one f32 accumulator per output cell, added to the running
-            // tile value after the block. Entries past `w_b` are +0.0
-            // products in the simulator and cannot change any sum.
-            let blk_base = blk * k * v;
-            for i in 0..tile_cols {
-                for j in 0..window_rows {
-                    let mut acc = 0.0f32;
-                    for t in 0..w_b {
-                        acc += a_tile[i * k + t] * rounded[blk_base + j * w_b + t];
-                    }
-                    c_tile[i * v + j] += acc;
-                }
+            let svals = &widened[blk * k * v..][..window_rows * w_b];
+            // A constant width lets LLVM unroll and vectorise full tiles.
+            if tile_cols == N_TILE {
+                block_tile(c_tile, svals, w_b, cols, b_f32, n, j0, N_TILE);
+            } else {
+                block_tile(c_tile, svals, w_b, cols, b_f32, n, j0, tile_cols);
             }
         }
-
-        for j in 0..window_rows {
-            for i in 0..tile_cols {
-                out_window[j * n + j0 + i] = S::from_f32(c_tile[i * v + j]);
+        for (j, crow) in c_tile.chunks_exact(N_TILE).take(window_rows).enumerate() {
+            let orow = &mut out_window[j * n + j0..][..tile_cols];
+            for (o, &c) in orow.iter_mut().zip(crow) {
+                *o = S::from_f32(c);
             }
+        }
+    }
+}
+
+/// One sparse block's MMA on one column tile: for each window row `j`,
+/// `c_tile[j][i] += Σ_t b[cols[t]][j0 + i] · s[j][t]` with `t` ascending
+/// from a `+0.0` accumulator — `mma_execute`'s per-cell order, run over
+/// the tile's `width` columns at once. Entries past `w_b` are `+0.0`
+/// products in the simulator and cannot change any sum.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn block_tile(
+    c_tile: &mut [f32],
+    svals: &[f32],
+    w_b: usize,
+    cols: &[u32],
+    b_f32: &[f32],
+    n: usize,
+    j0: usize,
+    width: usize,
+) {
+    for (srow, crow) in svals.chunks(w_b).zip(c_tile.chunks_exact_mut(N_TILE)) {
+        let mut acc = [0.0f32; N_TILE];
+        for (&s, &c) in srow.iter().zip(cols) {
+            let brow = &b_f32[c as usize * n + j0..][..width];
+            for (acc, &bv) in acc.iter_mut().zip(brow) {
+                *acc += bv * s;
+            }
+        }
+        for (c, acc) in crow.iter_mut().zip(acc) {
+            *c += acc;
         }
     }
 }
@@ -408,6 +449,8 @@ pub(crate) fn sddmm_fast_sched<S: TcuPrecision>(
 ) -> (MeBcrs<S>, KernelCounters) {
     ensure_valid(mask);
     let v = S::SHAPE.n;
+    assert_eq!(v, V, "FlashSparse windows are {V} rows tall");
+    let (a_f32, b_f32) = (a.to_f32_vec(), b.to_f32_vec());
     let num_windows = mask.num_windows();
     let mut values = vec![S::ZERO; mask.values().len()];
 
@@ -428,7 +471,7 @@ pub(crate) fn sddmm_fast_sched<S: TcuPrecision>(
             for group in slices.chunks_mut(WINDOW_BATCH) {
                 let _span = fs_trace::span(fs_trace::Site::WindowBatch);
                 for (w, out) in group.iter_mut() {
-                    sddmm_window(mask, a, b, *w, out, scratch, &mut counters);
+                    sddmm_window(mask, a, &a_f32, b, &b_f32, *w, out, scratch, &mut counters);
                 }
             }
             counters
@@ -443,7 +486,7 @@ pub(crate) fn sddmm_fast_sched<S: TcuPrecision>(
                 SCRATCH.with(|cell| {
                     let scratch = &mut *cell.borrow_mut();
                     let mut counters = KernelCounters::default();
-                    sddmm_window(mask, a, b, w, out, scratch, &mut counters);
+                    sddmm_window(mask, a, &a_f32, b, &b_f32, w, out, scratch, &mut counters);
                     counters
                 })
             });
@@ -455,10 +498,15 @@ pub(crate) fn sddmm_fast_sched<S: TcuPrecision>(
     (mask.with_values(values), counters)
 }
 
+/// One SDDMM row window. `a_f32`/`b_f32` are the launch's widened
+/// copies of `a`/`b`; `a` and `b` themselves only supply addresses.
+#[allow(clippy::too_many_arguments)]
 fn sddmm_window<S: TcuPrecision>(
     mask: &MeBcrs<S>,
     a: &DenseMatrix<S>,
+    a_f32: &[f32],
     b: &DenseMatrix<S>,
+    b_f32: &[f32],
     w: usize,
     out: &mut [S],
     scratch: &mut FastScratch,
@@ -475,7 +523,7 @@ fn sddmm_window<S: TcuPrecision>(
         return;
     }
 
-    let FastScratch { rounded, rounded_b, c_tile, counter: ac, .. } = scratch;
+    let FastScratch { widened, c_tile, counter: ac } = scratch;
 
     // Column indices: one request for the whole window.
     let win_range = mask.window_ptr()[w]..mask.window_ptr()[w + 1];
@@ -485,30 +533,24 @@ fn sddmm_window<S: TcuPrecision>(
 
     let chunks = kk.div_ceil(k) as u64;
 
-    // Pre-round the window's rows of A once (reused by every group).
-    reserve(rounded, window_rows * kk);
+    // The window's rows of A, t-major in V lanes (lanes past the ragged
+    // final window's rows stay +0.0 and are never written back).
+    widened.clear();
+    widened.resize(kk * V, 0.0);
     for i in 0..window_rows {
-        let arow = a.row(w * v + i);
-        for t in 0..kk {
-            rounded[i * kk + t] = round_operand(arow[t].to_f32(), S::PRECISION);
+        let arow = &a_f32[(w * v + i) * kk..][..kk];
+        for (lanes, &x) in widened.chunks_exact_mut(V).zip(arow) {
+            lanes[i] = x;
         }
     }
-    reserve(rounded_b, VEC_GROUP * kk);
-    reserve(c_tile, VEC_GROUP * v);
+    let (a_lanes, _) = widened.as_chunks::<V>();
+    reserve(c_tile, VEC_GROUP * V);
 
     for jj0 in (0..nv).step_by(VEC_GROUP) {
         let group = (nv - jj0).min(VEC_GROUP);
 
         counters.mma_count += chunks;
         counters.tcu_flops += chunks * shape.flops();
-
-        // Pre-round the group's sampled rows of B.
-        for jj in 0..group {
-            let brow = b.row(win_cols[jj0 + jj] as usize);
-            for t in 0..kk {
-                rounded_b[jj * kk + t] = round_operand(brow[t].to_f32(), S::PRECISION);
-            }
-        }
 
         // Dense loads: one A-rows and one B-rows request per k-chunk
         // (the k-chunk stride is below a sector, so no tile collapse).
@@ -525,20 +567,23 @@ fn sddmm_window<S: TcuPrecision>(
         }
 
         // Numerics: per-chunk partial sums folded in chunk order, the
-        // exact accumulation the chained MMAs perform.
-        for jj in 0..group {
-            for i in 0..window_rows {
-                let mut d = 0.0f32;
-                for k0 in (0..kk).step_by(k) {
-                    let kw = (kk - k0).min(k);
-                    let mut acc = 0.0f32;
-                    for t in 0..kw {
-                        acc += rounded_b[jj * kk + k0 + t] * rounded[i * kk + k0 + t];
+        // exact accumulation the chained MMAs perform, for all window
+        // rows at once.
+        for (jj, crow) in c_tile.chunks_exact_mut(V).take(group).enumerate() {
+            let brow = &b_f32[win_cols[jj0 + jj] as usize * kk..][..kk];
+            let mut d = [0.0f32; V];
+            for (b_chunk, a_chunk) in brow.chunks(k).zip(a_lanes.chunks(k)) {
+                let mut acc = [0.0f32; V];
+                for (&bv, lanes) in b_chunk.iter().zip(a_chunk) {
+                    for (acc, &av) in acc.iter_mut().zip(lanes) {
+                        *acc += bv * av;
                     }
-                    d += acc;
                 }
-                c_tile[jj * v + i] = d;
+                for (d, acc) in d.iter_mut().zip(acc) {
+                    *d += acc;
+                }
             }
+            crow.copy_from_slice(&d);
         }
 
         // Algorithm 1 writeback, identical to the simulated kernel
@@ -550,7 +595,7 @@ fn sddmm_window<S: TcuPrecision>(
                 let m = mask.block_row(w, blk, i)[jl];
                 if !m.is_zero() {
                     let idx = mask.value_index(w, blk, i, jl) - window_val_base;
-                    out[idx] = S::from_f32(c_tile[jj * v + i] * m.to_f32());
+                    out[idx] = S::from_f32(c_tile[jj * V + i] * m.to_f32());
                 }
             }
         }

@@ -261,6 +261,9 @@ fn overlapped_impl<S: TcuPrecision>(
             }
         });
 
+        // B is widened once for the whole launch, while the stager
+        // translates the first slab; every slab reads the same copy.
+        let b_f32 = b.to_f32_vec();
         let mut slabs: Vec<MeBcrs<S>> = Vec::with_capacity(rows.div_ceil(slab_rows.max(1)));
         let mut counters = KernelCounters::default();
         for (lo, slab) in rx {
@@ -268,6 +271,7 @@ fn overlapped_impl<S: TcuPrecision>(
             counters += spmm_fast_into(
                 &slab,
                 b,
+                &b_f32,
                 mapping,
                 shape,
                 &mut out.as_mut_slice()[lo * n..hi * n],

@@ -27,6 +27,21 @@ const SIGN_MASK: u16 = 0x8000;
 const EXP_MASK: u16 = 0x7C00;
 const MAN_MASK: u16 = 0x03FF;
 
+/// `f32` bit patterns of all 65 536 halves, indexed by the half's bits.
+static TO_F32_BITS: [u32; 1 << 16] = to_f32_table();
+
+const fn to_f32_table() -> [u32; 1 << 16] {
+    let mut table = [0u32; 1 << 16];
+    let mut bits = u16::MAX;
+    loop {
+        table[bits as usize] = F16(bits).to_f32_bits_soft();
+        if bits == 0 {
+            return table;
+        }
+        bits -= 1;
+    }
+}
+
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0);
@@ -66,84 +81,54 @@ impl F16 {
     }
 
     /// Convert an `f32` to binary16 with round-to-nearest-even.
+    ///
+    /// Overflow (from 65520 up) gives a signed infinity, values below
+    /// 2^-25 flush to a signed zero, and a NaN stays NaN with the quiet
+    /// bit set and the top 9 payload bits kept.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
         let bits = value.to_bits();
-        let sign = ((bits >> 16) & 0x8000) as u16;
-        let exp = ((bits >> 23) & 0xFF) as i32;
-        let man = bits & 0x007F_FFFF;
-
-        if exp == 0xFF {
-            // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
-            return if man == 0 {
-                F16(sign | EXP_MASK)
-            } else {
-                F16(sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK))
-            };
-        }
-
-        // Unbiased exponent, then re-bias for f16 (bias 15 vs 127).
-        let unbiased = exp - 127;
-        if unbiased > 15 {
-            // Overflow → infinity (RNE never rounds to MAX from above overflow
-            // threshold; values in (65504, 65520) round to 65504).
-            // The exact threshold: anything >= 65520 becomes inf; handle via
-            // full rounding below for the edge exponent.
-            if unbiased > 16 {
-                return F16(sign | EXP_MASK);
-            }
-        }
-
-        if unbiased >= -14 {
-            // Candidate normal number.
-            let exp16 = (unbiased + 15) as u16;
-            // 23-bit mantissa → 10-bit with RNE on the dropped 13 bits.
-            let man16 = man >> 13;
-            let round_bits = man & 0x1FFF;
-            let halfway = 0x1000;
-            let mut result = ((exp16 << 10) | man16 as u16) | sign;
-            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
-                // Mantissa carry may overflow into the exponent; that is the
-                // correct behaviour (e.g. 2047.5 rounds up a binade).
-                result = result.wrapping_add(1);
-            }
-            // Overflow past the largest finite exponent becomes infinity.
-            if result & EXP_MASK == EXP_MASK && result & MAN_MASK != 0 {
-                // Can't happen from the carry path, but guard anyway.
-                result = sign | EXP_MASK;
-            }
-            if exp16 >= 31 {
-                // We were already at/above the overflow binade before rounding.
-                return F16(sign | EXP_MASK);
-            }
-            return F16(result);
-        }
-
-        if unbiased >= -25 {
-            // Subnormal range: shift the implicit leading 1 into the mantissa.
-            let full_man = man | 0x0080_0000;
-            let shift = (-14 - unbiased + 13) as u32; // total right shift
-            let man16 = (full_man >> shift) as u16;
-            let round_mask = (1u32 << shift) - 1;
-            let round_bits = full_man & round_mask;
-            let halfway = 1u32 << (shift - 1);
-            let mut result = man16 | sign;
-            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
-                result = result.wrapping_add(1);
-            }
-            return F16(result);
-        }
-
-        // Too small: flush to (signed) zero.
-        F16(sign)
+        let abs = bits & 0x7FFF_FFFF;
+        let magnitude = if abs > 0x7F80_0000 {
+            u32::from(EXP_MASK | 0x0200) | ((abs >> 13) & u32::from(MAN_MASK))
+        } else if abs >= 0x4780_0000 {
+            // |value| >= 2^16, or infinite.
+            u32::from(EXP_MASK)
+        } else if abs < 0x3880_0000 {
+            // |value| < 2^-14: adding 0.5 rounds it to a multiple of
+            // 2^-24 (RNE), which leaves the f16 subnormal mantissa in the
+            // low bits (0x400, the smallest normal, on a carry).
+            (f32::from_bits(abs) + 0.5).to_bits() - 0x3F00_0000
+        } else {
+            // Normal: rebias the exponent by 15 - 127 and round the 13
+            // dropped bits to nearest even; a mantissa carry steps the
+            // exponent, up to infinity from 65520.
+            let odd = (abs >> 13) & 1;
+            (abs - (112 << 23) + 0x0FFF + odd) >> 13
+        };
+        // Both halves fit in 16 bits: the magnitude is at most 0x7FFF.
+        F16((((bits >> 16) & 0x8000) | magnitude) as u16)
     }
 
     /// Convert to `f32` exactly (every binary16 value is representable).
+    ///
+    /// One lookup in a 65 536-entry table filled at compile time by the
+    /// soft-float conversion, so the result is that conversion bit for
+    /// bit (NaNs come back quieted, payload kept).
+    #[inline]
     pub fn to_f32(self) -> f32 {
+        f32::from_bits(TO_F32_BITS[self.0 as usize])
+    }
+
+    /// The soft-float `f32` bit pattern of `self`: the branchy
+    /// reference conversion that builds the [`F16::to_f32`] table and
+    /// serves as its oracle in tests.
+    const fn to_f32_bits_soft(self) -> u32 {
         let sign = ((self.0 & SIGN_MASK) as u32) << 16;
         let exp = ((self.0 & EXP_MASK) >> 10) as u32;
         let man = (self.0 & MAN_MASK) as u32;
 
-        let bits = if exp == 0 {
+        if exp == 0 {
             if man == 0 {
                 sign // signed zero
             } else {
@@ -162,8 +147,7 @@ impl F16 {
             }
         } else {
             sign | ((exp + 127 - 15) << 23) | (man << 13)
-        };
-        f32::from_bits(bits)
+        }
     }
 
     /// Convert from `f64` (via f32; double rounding is acceptable here because
@@ -291,6 +275,100 @@ impl Neg for F16 {
 mod tests {
     use super::*;
 
+    /// The branchy soft-float `F16::from_f32`: the oracle for the
+    /// bit-manipulating one.
+    fn from_f32_soft(value: f32) -> F16 {
+        let bits = value.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp = ((bits >> 23) & 0xFF) as i32;
+        let man = bits & 0x007F_FFFF;
+
+        if exp == 0xFF {
+            // Inf or NaN. Preserve NaN-ness with a quiet mantissa bit.
+            return if man == 0 {
+                F16(sign | EXP_MASK)
+            } else {
+                F16(sign | EXP_MASK | 0x0200 | ((man >> 13) as u16 & MAN_MASK))
+            };
+        }
+
+        // Unbiased exponent, then re-bias for f16 (bias 15 vs 127).
+        let unbiased = exp - 127;
+        if unbiased > 15 {
+            // Overflow → infinity (RNE never rounds to MAX from above overflow
+            // threshold; values in (65504, 65520) round to 65504).
+            // The exact threshold: anything >= 65520 becomes inf; handle via
+            // full rounding below for the edge exponent.
+            if unbiased > 16 {
+                return F16(sign | EXP_MASK);
+            }
+        }
+
+        if unbiased >= -14 {
+            // Candidate normal number.
+            let exp16 = (unbiased + 15) as u16;
+            // 23-bit mantissa → 10-bit with RNE on the dropped 13 bits.
+            let man16 = man >> 13;
+            let round_bits = man & 0x1FFF;
+            let halfway = 0x1000;
+            let mut result = ((exp16 << 10) | man16 as u16) | sign;
+            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
+                // Mantissa carry may overflow into the exponent; that is the
+                // correct behaviour (e.g. 2047.5 rounds up a binade).
+                result = result.wrapping_add(1);
+            }
+            // Overflow past the largest finite exponent becomes infinity.
+            if result & EXP_MASK == EXP_MASK && result & MAN_MASK != 0 {
+                // Can't happen from the carry path, but guard anyway.
+                result = sign | EXP_MASK;
+            }
+            if exp16 >= 31 {
+                // We were already at/above the overflow binade before rounding.
+                return F16(sign | EXP_MASK);
+            }
+            return F16(result);
+        }
+
+        if unbiased >= -25 {
+            // Subnormal range: shift the implicit leading 1 into the mantissa.
+            let full_man = man | 0x0080_0000;
+            let shift = (-14 - unbiased + 13) as u32; // total right shift
+            let man16 = (full_man >> shift) as u16;
+            let round_mask = (1u32 << shift) - 1;
+            let round_bits = full_man & round_mask;
+            let halfway = 1u32 << (shift - 1);
+            let mut result = man16 | sign;
+            if round_bits > halfway || (round_bits == halfway && (man16 & 1) == 1) {
+                result = result.wrapping_add(1);
+            }
+            return F16(result);
+        }
+
+        // Too small: flush to (signed) zero.
+        F16(sign)
+    }
+
+    #[test]
+    fn from_f32_matches_soft_float_on_rounding_boundaries() {
+        // Every f32 whose top 19 bits name a half-width mantissa, with
+        // the 13 dropped bits at zero, just off zero, around the halfway
+        // point and at their maximum.
+        for hi in 0u32..1 << 19 {
+            for lo in [0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF] {
+                let x = f32::from_bits(hi << 13 | lo);
+                assert_eq!(F16::from_f32(x), from_f32_soft(x), "{:#010x}", x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn from_f32_matches_soft_float_on_a_sweep_of_all_f32() {
+        for bits in (0..=u32::MAX).step_by(4099) {
+            let x = f32::from_bits(bits);
+            assert_eq!(F16::from_f32(x), from_f32_soft(x), "{bits:#010x}");
+        }
+    }
+
     #[test]
     fn constants_roundtrip() {
         assert_eq!(F16::ZERO.to_f32(), 0.0);
@@ -351,6 +429,14 @@ mod tests {
             let back = F16::from_f32(h.to_f32());
             assert_eq!(h, back, "subnormal {bits:#06x} roundtrip");
             assert!(h.is_subnormal());
+        }
+    }
+
+    #[test]
+    fn table_to_f32_matches_soft_float_on_all_halves() {
+        for bits in 0u16..=0xFFFF {
+            let h = F16::from_bits(bits);
+            assert_eq!(h.to_f32().to_bits(), h.to_f32_bits_soft(), "bits {bits:#06x}");
         }
     }
 

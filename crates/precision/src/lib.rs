@@ -39,3 +39,35 @@ pub fn f32_to_tf32(x: f32) -> f32 {
 pub fn f32_through_f16(x: f32) -> f32 {
     F16::from_f32(x).to_f32()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // The fast kernels widen stored operands with a plain `to_f32` where
+    // the simulator rounds every MMA operand again; these exhaustive
+    // checks are what make the two bit-identical.
+
+    #[test]
+    fn f16_rounding_is_identity_on_every_stored_half() {
+        for bits in 0u16..=0xFFFF {
+            let x = F16::from_bits(bits).to_f32();
+            assert_eq!(f32_through_f16(x).to_bits(), x.to_bits(), "half {bits:#06x}");
+        }
+    }
+
+    #[test]
+    fn tf32_rounding_is_identity_on_the_tf32_lattice() {
+        // 1 sign + 8 exponent + 10 mantissa bits, in f32 position. NaN
+        // patterns are skipped: `Tf32::from_f32` stores the canonical NaN.
+        for pattern in 0u32..1 << 19 {
+            let t = f32::from_bits(pattern << 13);
+            if !t.is_nan() {
+                assert_eq!(f32_to_tf32(t).to_bits(), t.to_bits(), "pattern {pattern:#07x}");
+            }
+        }
+        let nan = Tf32::from_f32(f32::NAN).to_f32();
+        assert_eq!(nan.to_bits(), f32::NAN.to_bits());
+        assert_eq!(f32_to_tf32(nan).to_bits(), nan.to_bits());
+    }
+}

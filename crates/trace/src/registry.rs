@@ -298,8 +298,23 @@ static SCOPE_LOCK: LazyLock<Mutex<()>> = LazyLock::new(|| Mutex::new(()));
 /// restores the previous arm state (resetting again) on drop — the
 /// `SanitizeScope` / `ChaosScope` pattern.
 pub struct TraceScope {
-    prev: bool,
+    // Fields drop in declaration order: the restore runs while the
+    // scope lock is still held.
+    _restore: RestoreOnDrop,
     _lock: MutexGuard<'static, ()>,
+}
+
+/// The drop half of a [`TraceScope`]: restores the previous arm state
+/// and resets the registry.
+struct RestoreOnDrop {
+    prev: bool,
+}
+
+impl Drop for RestoreOnDrop {
+    fn drop(&mut self) {
+        set_armed(self.prev);
+        reset();
+    }
 }
 
 impl TraceScope {
@@ -319,14 +334,7 @@ impl TraceScope {
         let prev = trace_enabled();
         reset();
         set_armed(on);
-        TraceScope { prev, _lock: lock }
-    }
-}
-
-impl Drop for TraceScope {
-    fn drop(&mut self) {
-        set_armed(self.prev);
-        reset();
+        TraceScope { _restore: RestoreOnDrop { prev }, _lock: lock }
     }
 }
 
@@ -379,11 +387,14 @@ mod tests {
 
     #[test]
     fn scope_restores_and_resets() {
-        {
-            let _scope = TraceScope::armed();
-            let _s = span(Site::Tune);
-        }
+        // Drop the scope field by field, as its own drop does, but keep
+        // the lock for the snapshot: once it is released an armed test
+        // may run and the snapshot would see that test's state.
+        let TraceScope { _restore: restore, _lock: lock } = TraceScope::armed();
+        drop(span(Site::Tune));
+        drop(restore);
         let snap = snapshot();
+        drop(lock);
         assert!(!snap.armed, "scope must disarm on drop");
         assert_eq!(snap.total_spans(), 0, "scope must reset on drop");
     }
