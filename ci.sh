@@ -7,12 +7,11 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo run -p xtask -- lint"
-cargo run -p xtask --quiet -- lint
-
-echo "== cargo run -p analyze -- check (baseline gate)"
-# Token-level workspace analyses (lock-order, atomic-ordering, protocol,
-# trace-site, counter parity) gated against the committed baseline:
+echo "== cargo run -p analyze -- check (lint rules + baseline gate)"
+# The five per-file lint rules (checked-cast, allow-panic, no-unsafe,
+# no-todo, counted-catch; DESIGN.md §6) and the token-level workspace
+# analyses (lock-order, atomic-ordering, protocol, trace-site, counter
+# parity), gated against the committed baseline:
 # findings not in analyze-baseline.json fail, and so do stale baseline
 # entries that no longer fire. After reviewing a finding you intend to
 # accept, run:

@@ -1,10 +1,8 @@
-//! The five repo lint rules, migrated from xtask's line-based matcher
-//! onto the token lexer.
+//! The five repo lint rules, matched on the token lexer.
 //!
-//! Same rules, same annotation scheme, same diagnostic format — but
-//! matching happens on code tokens, so patterns inside string literals
-//! and (doc) comments can no longer fire. `cargo run -p xtask -- lint`
-//! is now a thin shim over this module.
+//! Matching happens on code tokens, so patterns inside string literals
+//! and (doc) comments cannot fire. They run as part of
+//! `cargo run -p analyze -- check` ([`crate::workspace::Workspace::run_all`]).
 //!
 //! 1. **checked-cast** — truncating `as u32` / `as u16` casts in kernel
 //!    modules (`crates/tcu`, `crates/core`). Address and index
@@ -24,10 +22,10 @@
 //!    `// lint: counted-catch` note saying where the panic is counted
 //!    and surfaced. Vendored shims under `crates/shims/` are exempt.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::model::{collect_rs_files, FileModel};
+use crate::model::FileModel;
 
 /// How a file is classified, deciding which rules apply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +47,7 @@ pub fn classify(path: &Path) -> FileClass {
         || p.contains("/examples/")
         || p.starts_with("examples/")
         || p.starts_with("tests/")
-        || p.contains("crates/bench/")
-        || p.contains("crates/xtask/");
+        || p.contains("crates/bench/");
     if is_test_like {
         return FileClass::TestOrBench;
     }
@@ -178,21 +175,6 @@ pub fn lint_model(m: &FileModel, class: FileClass) -> Vec<Diagnostic> {
     out
 }
 
-/// Lint every `.rs` file under `root` (skipping `target/` and hidden
-/// directories). Unlike the old xtask pass, the linter's own sources are
-/// *not* exempted: token-level matching means the rule definitions and
-/// test fixtures (which spell every banned pattern inside string
-/// literals) no longer trip the rules.
-pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
-    for rel in collect_rs_files(root)? {
-        let content = std::fs::read_to_string(root.join(&rel))?;
-        let rel: PathBuf = PathBuf::from(rel.to_string_lossy().replace('\\', "/"));
-        out.push(FileModel::new(rel, content));
-    }
-    Ok(out.iter().flat_map(|m| lint_model(m, classify(&m.path))).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,9 +275,8 @@ mod tests {
         assert!(lint_fixture("crates/serve/src/x.rs", import, FileClass::Lib).is_empty());
     }
 
-    // The false-positive class the lexer kills: each of these made the
-    // old substring matcher fire (see the legacy matchers kept in
-    // crates/xtask for the demonstration); the token rules stay silent.
+    // The false-positive class the lexer kills: each of these makes a
+    // substring matcher fire; the token rules stay silent.
     #[test]
     fn string_literals_and_doc_comments_cannot_fire() {
         let in_string = "let msg = \"call .unwrap() on the result\";\n";

@@ -153,7 +153,7 @@ pub fn ablation_block_width(csr: &CsrMatrix<f32>, n: usize) -> (BaselineRun, Bas
     let a16: MeBcrs<F16> =
         MeBcrs::from_csr(&csr.cast::<F16>(), fs_format::TcFormatSpec::FLASH_FP16_K16);
     let b = DenseMatrix::<F16>::zeros(csr.cols(), n);
-    let (_, counters) = flashsparse::spmm_fp16_k16(&a16, &b, ThreadMapping::MemoryEfficient);
+    let (_, counters) = flashsparse::spmm(&a16, &b, ThreadMapping::MemoryEfficient);
     let run16 = BaselineRun {
         counters,
         imbalance: fs_baselines::wave::tcu_window_imbalance(&a16, n.div_ceil(16)),

@@ -19,9 +19,7 @@
 
 use std::time::Instant;
 
-use flashsparse::{
-    auto_tune, spmm_fp16_k16_with_mode, spmm_with_mode, TcuPrecision, ThreadMapping,
-};
+use flashsparse::{auto_tune, spmm_with_mode, TcuPrecision, ThreadMapping};
 use fs_bench::algos::{measure_sddmm_all, measure_spmm_all};
 use fs_format::{vector_stats, MeBcrs, TcFormatSpec};
 use fs_matrix::gen::{random_uniform, rmat, RmatConfig};
@@ -123,20 +121,10 @@ fn run_bench_json(path: &str) {
         push(
             "fp16-k16",
             median_secs(ITERS, || {
-                spmm_fp16_k16_with_mode(
-                    &mek16,
-                    &b16,
-                    ThreadMapping::MemoryEfficient,
-                    ExecMode::Fast,
-                );
+                spmm_with_mode(&mek16, &b16, ThreadMapping::MemoryEfficient, ExecMode::Fast);
             }),
             median_secs(ITERS, || {
-                spmm_fp16_k16_with_mode(
-                    &mek16,
-                    &b16,
-                    ThreadMapping::MemoryEfficient,
-                    ExecMode::Simulate,
-                );
+                spmm_with_mode(&mek16, &b16, ThreadMapping::MemoryEfficient, ExecMode::Simulate);
             }),
         );
     }

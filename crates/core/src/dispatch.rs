@@ -14,7 +14,7 @@ use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_precision::{Tf32, F16};
 use fs_tcu::{KernelCounters, Precision};
 
-use crate::spmm::{spmm, spmm_fp16_k16};
+use crate::spmm::spmm;
 use crate::tune::TuneChoice;
 
 /// A sparse matrix translated into the ME-BCRS layout of one tuned kernel
@@ -35,20 +35,21 @@ impl TranslatedMatrix {
     /// as the one-off preprocessing would on hardware.
     pub fn translate(csr: &CsrMatrix<f32>, choice: &TuneChoice) -> TranslatedMatrix {
         let _span = fs_trace::span(fs_trace::Site::Translate);
-        match (choice.precision, choice.block_k) {
-            (Precision::Fp16, 8) => TranslatedMatrix::Fp16K8(MeBcrs::from_csr(
-                &csr.cast::<F16>(),
-                TcFormatSpec::FLASH_FP16,
-            )),
-            (Precision::Fp16, 16) => TranslatedMatrix::Fp16K16(MeBcrs::from_csr(
-                &csr.cast::<F16>(),
-                TcFormatSpec::FLASH_FP16_K16,
-            )),
-            (Precision::Tf32, 4) => TranslatedMatrix::Tf32K4(MeBcrs::from_csr(
-                &csr.cast::<Tf32>(),
-                TcFormatSpec::FLASH_TF32,
-            )),
-            other => unreachable!("tuner never selects {other:?}"),
+        let spec = choice.spec();
+        match choice.precision {
+            Precision::Fp16 => Self::from_fp16(MeBcrs::from_csr(&csr.cast::<F16>(), spec)),
+            Precision::Tf32 => {
+                TranslatedMatrix::Tf32K4(MeBcrs::from_csr(&csr.cast::<Tf32>(), spec))
+            }
+        }
+    }
+
+    /// Wrap an FP16 translation in the variant its block width names.
+    pub(crate) fn from_fp16(me: MeBcrs<F16>) -> TranslatedMatrix {
+        if me.spec() == TcFormatSpec::FLASH_FP16_K16 {
+            TranslatedMatrix::Fp16K16(me)
+        } else {
+            TranslatedMatrix::Fp16K8(me)
         }
     }
 
@@ -64,12 +65,8 @@ impl TranslatedMatrix {
         mapping: crate::ThreadMapping,
     ) -> (DenseMatrix<f32>, KernelCounters) {
         match self {
-            TranslatedMatrix::Fp16K8(me) => {
+            TranslatedMatrix::Fp16K8(me) | TranslatedMatrix::Fp16K16(me) => {
                 let (c, k) = spmm(me, &b.cast::<F16>(), mapping);
-                (c.cast::<f32>(), k)
-            }
-            TranslatedMatrix::Fp16K16(me) => {
-                let (c, k) = spmm_fp16_k16(me, &b.cast::<F16>(), mapping);
                 (c.cast::<f32>(), k)
             }
             TranslatedMatrix::Tf32K4(me) => {

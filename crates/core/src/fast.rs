@@ -126,27 +126,17 @@ fn record_steals(stats: &steal::StealStats) {
     }
 }
 
-/// Fused SpMM (`C = A × B`), bit-identical to the simulated kernel.
-/// Dimension/spec assertions are the dispatching caller's job.
-pub(crate) fn spmm_fast<S: TcuPrecision>(
-    a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
-    mapping: ThreadMapping,
-    shape: MmaShape,
-) -> (DenseMatrix<S>, KernelCounters) {
-    spmm_fast_sched(a, b, mapping, shape, SchedMode::auto())
-}
-
-/// [`spmm_fast`] with an explicit window scheduler.
+/// Fused SpMM (`C = A × B`), bit-identical to the simulated kernel, on
+/// the given window scheduler. Dimension assertions are the launcher's
+/// job.
 pub(crate) fn spmm_fast_sched<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     mapping: ThreadMapping,
-    shape: MmaShape,
     sched: SchedMode,
 ) -> (DenseMatrix<S>, KernelCounters) {
     let mut out = DenseMatrix::<S>::zeros(a.rows(), b.cols());
-    let counters = spmm_fast_into(a, b, &b.to_f32_vec(), mapping, shape, out.as_mut_slice(), sched);
+    let counters = spmm_fast_into(a, b, &b.to_f32_vec(), mapping, out.as_mut_slice(), sched);
     (out, counters)
 }
 
@@ -156,16 +146,17 @@ pub(crate) fn spmm_fast_sched<S: TcuPrecision>(
 ///
 /// `b_f32` is `b.to_f32_vec()`: the launch's one widened copy of B,
 /// which every window reads instead of converting `b` itself (`b`
-/// still supplies the shape and the addresses the counters model).
+/// still supplies the shape and the addresses the counters model). The
+/// MMA shape follows from `a`'s layout ([`TcuPrecision::mma_shape`]).
 pub(crate) fn spmm_fast_into<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     b_f32: &[f32],
     mapping: ThreadMapping,
-    shape: MmaShape,
     out: &mut [S],
     sched: SchedMode,
 ) -> KernelCounters {
+    let shape = S::mma_shape(a.spec());
     ensure_valid(a);
     let v = shape.n;
     let n = b.cols();
@@ -431,16 +422,8 @@ fn dense_loads<S: TcuPrecision>(
 }
 
 /// Fused SDDMM (`C = (A × Bᵀ) ⊙ mask`), bit-identical to the simulated
-/// kernel. Dimension/spec assertions are the dispatching caller's job.
-pub(crate) fn sddmm_fast<S: TcuPrecision>(
-    mask: &MeBcrs<S>,
-    a: &DenseMatrix<S>,
-    b: &DenseMatrix<S>,
-) -> (MeBcrs<S>, KernelCounters) {
-    sddmm_fast_sched(mask, a, b, SchedMode::auto())
-}
-
-/// [`sddmm_fast`] with an explicit window scheduler.
+/// kernel, on the given window scheduler. Dimension/spec assertions are
+/// the launcher's job.
 pub(crate) fn sddmm_fast_sched<S: TcuPrecision>(
     mask: &MeBcrs<S>,
     a: &DenseMatrix<S>,

@@ -10,6 +10,9 @@
 //!   zero-fill, computation, and data access.
 //! * **SpMM** (Section 3.3, [`spmm()`]): sparse `A` (ME-BCRS) × dense `B`,
 //!   FP16 (`m16n8k8`) and TF32 (`m16n8k4`), with both thread mappings.
+//!   The MMA shape follows from the matrix layout
+//!   ([`TcuPrecision::mma_shape`]), so an FP16 matrix in the
+//!   `FLASH_FP16_K16` layout runs the wide `m16n8k16` block-width variant.
 //! * **Memory-efficient thread mapping** (Section 3.3 / Figure 7,
 //!   [`thread_map`]): the column-shuffled 2×2-block mapping that halves
 //!   32-byte memory transactions versus the direct PTX fragment mapping.
@@ -21,7 +24,10 @@
 //!   (`Fast`) that produces bit-identical outputs and counters without
 //!   fragment materialization or transaction replay. The mode is selected
 //!   automatically — `Fast` whenever sanitize and chaos are both off —
-//!   and can be forced via the `*_with_mode` variants.
+//!   and can be forced via the `*_with_mode` variants. Each op has one
+//!   launch path: `spmm`, `spmm_with_mode` and `spmm_with_sched` (and
+//!   their `sddmm` siblings) differ only in the mode and scheduler they
+//!   pass to it.
 //! * **Pipelined execution** ([`pipeline`]): a weighted work-stealing
 //!   window scheduler for the fast path ([`SchedMode`], bit-identical to
 //!   sequential execution) and a translate/compute overlap
@@ -63,15 +69,13 @@ pub mod variant;
 pub use api::FlashSparseMatrix;
 pub use dispatch::TranslatedMatrix;
 pub use fs_tcu::ExecMode;
-pub use pipeline::{
-    sddmm_with_sched, spmm_fp16_k16_with_sched, spmm_overlapped, spmm_with_sched, SchedMode,
-};
+pub use pipeline::{spmm_overlapped, SchedMode};
 pub use resilient::{
     outputs_match, spmm_resilient, verify_sampled_rows, FallbackLevel, ResilientReport,
     VerifyPolicy, DEFAULT_TOLERANCE,
 };
-pub use sddmm::{sddmm, sddmm_with_mode};
-pub use spmm::{spmm, spmm_fp16_k16, spmm_fp16_k16_with_mode, spmm_with_mode};
+pub use sddmm::{sddmm, sddmm_with_mode, sddmm_with_sched};
+pub use spmm::{spmm, spmm_with_mode, spmm_with_sched};
 pub use thread_map::ThreadMapping;
 pub use tune::{auto_tune, TuneChoice};
 pub use variant::TcuPrecision;

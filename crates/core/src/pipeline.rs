@@ -33,10 +33,10 @@
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::{CsrMatrix, DenseMatrix};
 use fs_precision::{Tf32, F16};
-use fs_tcu::{ExecMode, KernelCounters, MmaShape, Precision};
+use fs_tcu::{ExecMode, KernelCounters, Precision};
 
 use crate::dispatch::TranslatedMatrix;
-use crate::fast::{sddmm_fast_sched, spmm_fast_into, spmm_fast_sched};
+use crate::fast::spmm_fast_into;
 use crate::spmm::trace_launch;
 use crate::thread_map::ThreadMapping;
 use crate::tune::TuneChoice;
@@ -83,78 +83,6 @@ impl SchedMode {
     }
 }
 
-/// [`fn@crate::spmm`] with an explicit window scheduler.
-///
-/// The scheduler only applies to the fast path; when [`ExecMode::auto`]
-/// selects the simulator (sanitize or chaos active), the launch runs the
-/// classic simulated kernel and `sched` is ignored — which is what keeps
-/// fault-injection replay byte-stable regardless of steal order.
-///
-/// # Panics
-/// Same contract as [`crate::spmm_with_mode`].
-pub fn spmm_with_sched<S: TcuPrecision>(
-    a: &MeBcrs<S>,
-    b: &DenseMatrix<S>,
-    mapping: ThreadMapping,
-    sched: SchedMode,
-) -> (DenseMatrix<S>, KernelCounters) {
-    let mode = ExecMode::auto();
-    if !mode.is_fast() {
-        return crate::spmm::spmm_with_mode(a, b, mapping, mode);
-    }
-    assert_eq!(a.spec(), S::SPEC, "format spec must match the kernel precision");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = spmm_fast_sched(a, b, mapping, S::SHAPE, sched);
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
-/// [`crate::spmm_fp16_k16`] with an explicit window scheduler (see
-/// [`spmm_with_sched`] for the scheduler contract).
-///
-/// # Panics
-/// Same contract as [`crate::spmm_fp16_k16_with_mode`].
-pub fn spmm_fp16_k16_with_sched(
-    a: &MeBcrs<F16>,
-    b: &DenseMatrix<F16>,
-    mapping: ThreadMapping,
-    sched: SchedMode,
-) -> (DenseMatrix<F16>, KernelCounters) {
-    let mode = ExecMode::auto();
-    if !mode.is_fast() {
-        return crate::spmm::spmm_fp16_k16_with_mode(a, b, mapping, mode);
-    }
-    assert_eq!(a.spec(), TcFormatSpec::FLASH_FP16_K16, "k16 kernel requires the k=16 layout");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = spmm_fast_sched(a, b, mapping, MmaShape::M16N8K16_F16, sched);
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
-/// [`fn@crate::sddmm`] with an explicit window scheduler (see
-/// [`spmm_with_sched`] for the scheduler contract).
-///
-/// # Panics
-/// Same contract as [`crate::sddmm_with_mode`].
-pub fn sddmm_with_sched<S: TcuPrecision>(
-    mask: &MeBcrs<S>,
-    a: &DenseMatrix<S>,
-    b: &DenseMatrix<S>,
-    sched: SchedMode,
-) -> (MeBcrs<S>, KernelCounters) {
-    let mode = ExecMode::auto();
-    if !mode.is_fast() {
-        return crate::sddmm::sddmm_with_mode(mask, a, b, mode);
-    }
-    assert_eq!(mask.spec(), S::SPEC, "format spec must match the kernel precision");
-    assert_eq!(a.rows(), mask.rows(), "A rows must match mask rows");
-    assert_eq!(b.rows(), mask.cols(), "B rows must match mask cols");
-    assert_eq!(a.cols(), b.cols(), "A and B must share the inner dimension K");
-    let (out, counters) = sddmm_fast_sched(mask, a, b, sched);
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
 /// Row windows per translation slab. Large enough that per-slab
 /// translation overhead (a CSR slice copy plus window assembly)
 /// amortizes, small enough that the first MMAs issue long before the
@@ -187,41 +115,18 @@ pub fn spmm_overlapped(
     assert_eq!(csr.cols(), b.rows(), "inner dimensions must agree");
     let _span = fs_trace::span(fs_trace::Site::PipelineOverlap);
     fs_trace::add(fs_trace::TraceCounter::Overlaps, 1);
-    let (out, counters, format) = match (choice.precision, choice.block_k) {
-        (Precision::Fp16, 8) => {
-            let (out, k, me) = overlapped_impl::<F16>(
-                &csr.cast(),
-                &b.cast(),
-                TcFormatSpec::FLASH_FP16,
-                F16::SHAPE,
-                choice.mapping,
-                sched,
-            );
-            (out.cast::<f32>(), k, TranslatedMatrix::Fp16K8(me))
+    let spec = choice.spec();
+    let (out, counters, format) = match choice.precision {
+        Precision::Fp16 => {
+            let (out, k, me) =
+                overlapped_impl::<F16>(&csr.cast(), &b.cast(), spec, choice.mapping, sched);
+            (out.cast::<f32>(), k, TranslatedMatrix::from_fp16(me))
         }
-        (Precision::Fp16, 16) => {
-            let (out, k, me) = overlapped_impl::<F16>(
-                &csr.cast(),
-                &b.cast(),
-                TcFormatSpec::FLASH_FP16_K16,
-                MmaShape::M16N8K16_F16,
-                choice.mapping,
-                sched,
-            );
-            (out.cast::<f32>(), k, TranslatedMatrix::Fp16K16(me))
-        }
-        (Precision::Tf32, 4) => {
-            let (out, k, me) = overlapped_impl::<Tf32>(
-                &csr.cast(),
-                &b.cast(),
-                TcFormatSpec::FLASH_TF32,
-                Tf32::SHAPE,
-                choice.mapping,
-                sched,
-            );
+        Precision::Tf32 => {
+            let (out, k, me) =
+                overlapped_impl::<Tf32>(&csr.cast(), &b.cast(), spec, choice.mapping, sched);
             (out.cast::<f32>(), k, TranslatedMatrix::Tf32K4(me))
         }
-        other => unreachable!("tuner never selects {other:?}"),
     };
     trace_launch(ExecMode::Fast, &counters);
     (out, counters, format)
@@ -233,7 +138,6 @@ fn overlapped_impl<S: TcuPrecision>(
     csr: &CsrMatrix<S>,
     b: &DenseMatrix<S>,
     spec: TcFormatSpec,
-    shape: MmaShape,
     mapping: ThreadMapping,
     sched: SchedMode,
 ) -> (DenseMatrix<S>, KernelCounters, MeBcrs<S>) {
@@ -273,7 +177,6 @@ fn overlapped_impl<S: TcuPrecision>(
                 b,
                 &b_f32,
                 mapping,
-                shape,
                 &mut out.as_mut_slice()[lo * n..hi * n],
                 sched,
             );
@@ -315,6 +218,7 @@ fn assemble<S: TcuPrecision>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spmm_with_sched;
     use fs_matrix::gen::{random_uniform, rmat, RmatConfig};
     use fs_matrix::CsrMatrix;
     use fs_tcu::GpuSpec;

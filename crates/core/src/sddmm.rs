@@ -24,8 +24,10 @@ use fs_tcu::{
 };
 use rayon::prelude::*;
 
-use crate::fast::{sddmm_fast, WINDOW_BATCH};
+use crate::fast::{sddmm_fast_sched, WINDOW_BATCH};
+use crate::pipeline::SchedMode;
 use crate::sanitize_hooks::{validate_format, SddmmShadow, ViolationSnapshot};
+use crate::spmm::trace_launch;
 use crate::variant::TcuPrecision;
 
 /// Nonzero vectors covered by one MMA (the post-swap `m` dimension).
@@ -36,7 +38,8 @@ pub const VEC_GROUP: usize = 16;
 /// `mask` supplies both the sampled pattern and a per-entry scale (use
 /// unit values for pure sampling, e.g. graph attention). Returns the
 /// output values laid out in `mask`'s own ME-BCRS structure, plus the
-/// execution counters.
+/// execution counters. SDDMM runs one MMA shape per precision
+/// ([`TcuPrecision::SHAPE`]), so `mask` must use [`TcuPrecision::SPEC`].
 ///
 /// # Panics
 /// Panics on spec or dimension mismatch.
@@ -45,7 +48,7 @@ pub fn sddmm<S: TcuPrecision>(
     a: &DenseMatrix<S>,
     b: &DenseMatrix<S>,
 ) -> (MeBcrs<S>, KernelCounters) {
-    sddmm_with_mode(mask, a, b, ExecMode::auto())
+    launch(mask, a, b, ExecMode::auto(), SchedMode::auto())
 }
 
 /// [`sddmm`] with an explicit [`ExecMode`] instead of the automatic
@@ -62,15 +65,42 @@ pub fn sddmm_with_mode<S: TcuPrecision>(
     b: &DenseMatrix<S>,
     mode: ExecMode,
 ) -> (MeBcrs<S>, KernelCounters) {
+    launch(mask, a, b, mode, SchedMode::auto())
+}
+
+/// [`sddmm`] with an explicit window scheduler (see
+/// [`crate::spmm_with_sched`] for the scheduler contract).
+///
+/// # Panics
+/// Same contract as [`sddmm_with_mode`].
+pub fn sddmm_with_sched<S: TcuPrecision>(
+    mask: &MeBcrs<S>,
+    a: &DenseMatrix<S>,
+    b: &DenseMatrix<S>,
+    sched: SchedMode,
+) -> (MeBcrs<S>, KernelCounters) {
+    launch(mask, a, b, ExecMode::auto(), sched)
+}
+
+/// The one SDDMM launch path: checks the operands, runs the simulated
+/// or fused kernel (the simulator ignores `sched`), and reports the
+/// launch to the trace registry.
+fn launch<S: TcuPrecision>(
+    mask: &MeBcrs<S>,
+    a: &DenseMatrix<S>,
+    b: &DenseMatrix<S>,
+    mode: ExecMode,
+    sched: SchedMode,
+) -> (MeBcrs<S>, KernelCounters) {
     assert_eq!(mask.spec(), S::SPEC, "format spec must match the kernel precision");
     assert_eq!(a.rows(), mask.rows(), "A rows must match mask rows");
     assert_eq!(b.rows(), mask.cols(), "B rows must match mask cols");
     assert_eq!(a.cols(), b.cols(), "A and B must share the inner dimension K");
     let (out, counters) = match mode {
         ExecMode::Simulate => sddmm_simulated(mask, a, b),
-        ExecMode::Fast => sddmm_fast(mask, a, b),
+        ExecMode::Fast => sddmm_fast_sched(mask, a, b, sched),
     };
-    crate::spmm::trace_launch(mode, &counters);
+    trace_launch(mode, &counters);
     (out, counters)
 }
 

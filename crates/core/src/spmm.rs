@@ -26,7 +26,8 @@ use fs_tcu::{
 };
 use rayon::prelude::*;
 
-use crate::fast::{spmm_fast, WINDOW_BATCH};
+use crate::fast::{spmm_fast_sched, WINDOW_BATCH};
+use crate::pipeline::SchedMode;
 use crate::sanitize_hooks::{validate_format, SpmmShadow, ViolationSnapshot};
 use crate::thread_map::{block_requests, ThreadMapping};
 use crate::variant::TcuPrecision;
@@ -39,17 +40,21 @@ pub const N_TILE: usize = 16;
 ///
 /// Returns the output (stored at precision `S`, accumulated in f32 like the
 /// hardware) and the execution counters. `mapping` selects the dense-load /
-/// output-store thread mapping (the Figure 15 ablation).
+/// output-store thread mapping (the Figure 15 ablation). The MMA shape
+/// follows from `a`'s layout ([`TcuPrecision::mma_shape`]): an FP16
+/// matrix built with [`fs_format::TcFormatSpec::FLASH_FP16_K16`] runs the
+/// wide `m16n8k16` MMA — half the instructions per window, more zero fill
+/// in ragged blocks (the block-width ablation of DESIGN.md §3).
 ///
 /// # Panics
-/// Panics if `a` was built with a different spec than `S` requires, or if
-/// the inner dimensions disagree.
+/// Panics if `S` has no kernel for `a`'s spec, or if the inner dimensions
+/// disagree.
 pub fn spmm<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     mapping: ThreadMapping,
 ) -> (DenseMatrix<S>, KernelCounters) {
-    spmm_with_mode(a, b, mapping, ExecMode::auto())
+    launch(a, b, mapping, ExecMode::auto(), SchedMode::auto())
 }
 
 /// [`spmm`] with an explicit [`ExecMode`] instead of the automatic
@@ -59,20 +64,50 @@ pub fn spmm<S: TcuPrecision>(
 /// is the production path whenever sanitize and chaos are off.
 ///
 /// # Panics
-/// Panics if `a` was built with a different spec than `S` requires, if
-/// the inner dimensions disagree, or — in `Fast` mode — if an
-/// unwitnessed `a` fails the up-front structural validation.
+/// Same contract as [`spmm`]; in `Fast` mode also if an unwitnessed `a`
+/// fails the up-front structural validation.
 pub fn spmm_with_mode<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     mapping: ThreadMapping,
     mode: ExecMode,
 ) -> (DenseMatrix<S>, KernelCounters) {
-    assert_eq!(a.spec(), S::SPEC, "format spec must match the kernel precision");
+    launch(a, b, mapping, mode, SchedMode::auto())
+}
+
+/// [`spmm`] with an explicit window scheduler.
+///
+/// The scheduler only applies to the fast path; when [`ExecMode::auto`]
+/// selects the simulator (sanitize or chaos active), the launch runs the
+/// classic simulated kernel and `sched` is ignored — which is what keeps
+/// fault-injection replay byte-stable regardless of steal order.
+///
+/// # Panics
+/// Same contract as [`spmm_with_mode`].
+pub fn spmm_with_sched<S: TcuPrecision>(
+    a: &MeBcrs<S>,
+    b: &DenseMatrix<S>,
+    mapping: ThreadMapping,
+    sched: SchedMode,
+) -> (DenseMatrix<S>, KernelCounters) {
+    launch(a, b, mapping, ExecMode::auto(), sched)
+}
+
+/// The one SpMM launch path: checks the operands, derives the MMA shape
+/// from the layout, runs the simulated or fused kernel (the simulator
+/// ignores `sched`), and reports the launch to the trace registry.
+fn launch<S: TcuPrecision>(
+    a: &MeBcrs<S>,
+    b: &DenseMatrix<S>,
+    mapping: ThreadMapping,
+    mode: ExecMode,
+    sched: SchedMode,
+) -> (DenseMatrix<S>, KernelCounters) {
+    let shape = S::mma_shape(a.spec());
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (out, counters) = match mode {
-        ExecMode::Simulate => spmm_shaped(a, b, mapping, S::SHAPE),
-        ExecMode::Fast => spmm_fast(a, b, mapping, S::SHAPE),
+        ExecMode::Simulate => spmm_simulated(a, b, mapping, shape),
+        ExecMode::Fast => spmm_fast_sched(a, b, mapping, sched),
     };
     trace_launch(mode, &counters);
     (out, counters)
@@ -91,56 +126,12 @@ pub(crate) fn trace_launch(mode: ExecMode, counters: &KernelCounters) {
     fs_trace::add(if mode.is_fast() { C::ExecFast } else { C::ExecSimulate }, 1);
 }
 
-/// FlashSparse SpMM with the wide FP16 MMA (`mma.m16n8k16`): sparse TC
-/// blocks are 8×16 instead of 8×8 — half the MMA instructions per window
-/// at the cost of more zero fill in ragged blocks. `a` must be built with
-/// [`fs_format::TcFormatSpec::FLASH_FP16_K16`]. The block-width ablation
-/// of DESIGN.md.
-pub fn spmm_fp16_k16(
-    a: &MeBcrs<fs_precision::F16>,
-    b: &DenseMatrix<fs_precision::F16>,
-    mapping: ThreadMapping,
-) -> (DenseMatrix<fs_precision::F16>, KernelCounters) {
-    spmm_fp16_k16_with_mode(a, b, mapping, ExecMode::auto())
-}
-
-/// [`spmm_fp16_k16`] with an explicit [`ExecMode`] (see
-/// [`spmm_with_mode`] for the mode contract).
-///
-/// # Panics
-/// Panics if `a` is not in the k=16 layout, if the inner dimensions
-/// disagree, or — in `Fast` mode — if an unwitnessed `a` fails the
-/// up-front structural validation.
-pub fn spmm_fp16_k16_with_mode(
-    a: &MeBcrs<fs_precision::F16>,
-    b: &DenseMatrix<fs_precision::F16>,
-    mapping: ThreadMapping,
-    mode: ExecMode,
-) -> (DenseMatrix<fs_precision::F16>, KernelCounters) {
-    assert_eq!(
-        a.spec(),
-        fs_format::TcFormatSpec::FLASH_FP16_K16,
-        "k16 kernel requires the k=16 layout"
-    );
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let (out, counters) = match mode {
-        ExecMode::Simulate => spmm_shaped(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16),
-        ExecMode::Fast => spmm_fast(a, b, mapping, fs_tcu::MmaShape::M16N8K16_F16),
-    };
-    trace_launch(mode, &counters);
-    (out, counters)
-}
-
-fn spmm_shaped<S: TcuPrecision>(
+fn spmm_simulated<S: TcuPrecision>(
     a: &MeBcrs<S>,
     b: &DenseMatrix<S>,
     mapping: ThreadMapping,
     shape: fs_tcu::MmaShape,
 ) -> (DenseMatrix<S>, KernelCounters) {
-    assert_eq!(shape.precision, S::PRECISION, "shape precision must match the scalar");
-    assert_eq!(shape.n, a.spec().vector_len, "vector height must equal the MMA n");
-    assert_eq!(shape.k, a.spec().block_k, "block width must equal the MMA k");
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let v = shape.n; // 8: window height after the swap
     let n = b.cols();
     let rows = a.rows();
@@ -464,7 +455,7 @@ mod k16_tests {
     use fs_format::TcFormatSpec;
     use fs_matrix::gen::{random_uniform, rmat, RmatConfig};
     use fs_matrix::CsrMatrix;
-    use fs_precision::F16;
+    use fs_precision::{Tf32, F16};
 
     #[test]
     fn k16_matches_reference() {
@@ -475,7 +466,7 @@ mod k16_tests {
                 (((r * 3 + c) % 11) as f32 - 5.0) * 0.125
             });
             for mapping in [ThreadMapping::Direct, ThreadMapping::MemoryEfficient] {
-                let (out, counters) = spmm_fp16_k16(&me, &b, mapping);
+                let (out, counters) = spmm(&me, &b, mapping);
                 let diff = out.max_abs_diff(&csr.spmm_reference(&b));
                 assert!(diff < 0.51, "seed={seed} {mapping:?}: diff {diff}");
                 assert!(counters.mma_count > 0);
@@ -494,7 +485,7 @@ mod k16_tests {
         let me8 = MeBcrs::from_csr(&csr, TcFormatSpec::FLASH_FP16);
         let me16 = MeBcrs::from_csr(&csr, TcFormatSpec::FLASH_FP16_K16);
         let (_, k8) = spmm(&me8, &b, ThreadMapping::MemoryEfficient);
-        let (_, k16) = spmm_fp16_k16(&me16, &b, ThreadMapping::MemoryEfficient);
+        let (_, k16) = spmm(&me16, &b, ThreadMapping::MemoryEfficient);
         assert!(k16.mma_count < k8.mma_count, "k16 {} vs k8 {}", k16.mma_count, k8.mma_count);
         assert!(k16.mma_count * 2 >= k8.mma_count, "at most a 2x instruction reduction");
         assert!(
@@ -505,12 +496,30 @@ mod k16_tests {
         );
     }
 
+    // The layouts that still have no kernel: each must be refused up
+    // front rather than run with a mismatched MMA shape.
     #[test]
-    #[should_panic(expected = "k16 kernel requires the k=16 layout")]
-    fn k16_rejects_k8_layout() {
+    #[should_panic(expected = "format spec must match the kernel precision")]
+    fn f16_rejects_tf32_layout() {
         let csr = CsrMatrix::from_coo(&random_uniform::<F16>(16, 16, 32, 0));
-        let me = MeBcrs::from_csr(&csr, TcFormatSpec::FLASH_FP16);
-        let b = DenseMatrix::<F16>::zeros(16, 16);
-        let _ = spmm_fp16_k16(&me, &b, ThreadMapping::Direct);
+        let me = MeBcrs::from_csr(&csr, TcFormatSpec::FLASH_TF32);
+        let _ = spmm(&me, &DenseMatrix::<F16>::zeros(16, 16), ThreadMapping::Direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "format spec must match the kernel precision")]
+    fn tf32_rejects_k16_layout() {
+        let csr = CsrMatrix::from_coo(&random_uniform::<Tf32>(16, 16, 32, 0));
+        let me = MeBcrs::from_csr(&csr, TcFormatSpec::FLASH_FP16_K16);
+        let _ = spmm(&me, &DenseMatrix::<Tf32>::zeros(16, 16), ThreadMapping::Direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "format spec must match the kernel precision")]
+    fn sddmm_rejects_k16_layout() {
+        let csr = CsrMatrix::from_coo(&random_uniform::<F16>(16, 16, 32, 0));
+        let me = MeBcrs::from_csr(&csr, TcFormatSpec::FLASH_FP16_K16);
+        let dense = DenseMatrix::<F16>::zeros(16, 8);
+        let _ = crate::sddmm(&me, &dense, &dense);
     }
 }

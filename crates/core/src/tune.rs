@@ -18,7 +18,7 @@ use fs_precision::{Tf32, F16};
 use fs_tcu::cost::{ComputeClass, CostModel};
 use fs_tcu::{GpuSpec, Precision};
 
-use crate::spmm::{spmm, spmm_fp16_k16};
+use crate::spmm::spmm;
 use crate::thread_map::ThreadMapping;
 
 /// A tuned kernel configuration.
@@ -156,7 +156,7 @@ pub fn auto_tune(csr: &CsrMatrix<f32>, n: usize, gpu: GpuSpec) -> TuneChoice {
         });
         // FP16 k=16.
         let me = MeBcrs::from_csr(&sample.cast::<F16>(), TcFormatSpec::FLASH_FP16_K16);
-        let (_, k) = spmm_fp16_k16(&me, &b16, mapping);
+        let (_, k) = spmm(&me, &b16, mapping);
         consider(TuneChoice {
             precision: Precision::Fp16,
             block_k: 16,

@@ -22,6 +22,23 @@ pub trait TcuPrecision: Scalar {
     fn compute_class() -> ComputeClass {
         ComputeClass::tcu(Self::PRECISION)
     }
+
+    /// The MMA shape the SpMM kernel runs on a matrix laid out with
+    /// `spec`: [`Self::SHAPE`] for [`Self::SPEC`], plus FP16's wide
+    /// `m16n8k16` on [`TcFormatSpec::FLASH_FP16_K16`] (the block-width
+    /// ablation).
+    ///
+    /// # Panics
+    /// Panics when this precision has no kernel for `spec`.
+    fn mma_shape(spec: TcFormatSpec) -> MmaShape {
+        match (Self::PRECISION, spec) {
+            (_, spec) if spec == Self::SPEC => Self::SHAPE,
+            (Precision::Fp16, TcFormatSpec::FLASH_FP16_K16) => MmaShape::M16N8K16_F16,
+            (precision, spec) => {
+                panic!("format spec must match the kernel precision: {precision:?} has no {spec:?}")
+            }
+        }
+    }
 }
 
 impl TcuPrecision for F16 {

@@ -10,9 +10,7 @@
 //! regression tests live in `exec_mode_regression.rs` (their scopes
 //! would otherwise flip concurrently-running launches into Simulate).
 
-use flashsparse::{
-    sddmm_with_mode, spmm_fp16_k16_with_mode, spmm_with_mode, TcuPrecision, ThreadMapping,
-};
+use flashsparse::{sddmm_with_mode, spmm_with_mode, TcuPrecision, ThreadMapping};
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
 use fs_matrix::{CsrMatrix, DenseMatrix};
@@ -83,8 +81,8 @@ proptest! {
             ((((r * 3 + c * 11 + seed as usize) % 13) as f32) - 6.0) * 0.25
         });
         for mapping in MAPPINGS {
-            let (c_sim, k_sim) = spmm_fp16_k16_with_mode(&me, &b, mapping, ExecMode::Simulate);
-            let (c_fast, k_fast) = spmm_fp16_k16_with_mode(&me, &b, mapping, ExecMode::Fast);
+            let (c_sim, k_sim) = spmm_with_mode(&me, &b, mapping, ExecMode::Simulate);
+            let (c_fast, k_fast) = spmm_with_mode(&me, &b, mapping, ExecMode::Fast);
             prop_assert_eq!(dense_bits(&c_sim), dense_bits(&c_fast), "{:?} output", mapping);
             prop_assert_eq!(k_sim, k_fast, "{:?} counters", mapping);
         }

@@ -15,10 +15,7 @@
 //! No sanitize/chaos scope is held here (see `exec_mode_props.rs` for
 //! why that keeps the properties parallel-safe).
 
-use flashsparse::{
-    sddmm_with_sched, spmm_fp16_k16_with_sched, spmm_with_sched, SchedMode, TcuPrecision,
-    ThreadMapping,
-};
+use flashsparse::{sddmm_with_sched, spmm_with_sched, SchedMode, TcuPrecision, ThreadMapping};
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
 use fs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
@@ -157,9 +154,9 @@ proptest! {
         });
         for mapping in MAPPINGS {
             let (c_seq, k_seq) =
-                spmm_fp16_k16_with_sched(&me, &b, mapping, SchedMode::Sequential);
+                spmm_with_sched(&me, &b, mapping, SchedMode::Sequential);
             for workers in POOLS {
-                let (c_ws, k_ws) = spmm_fp16_k16_with_sched(
+                let (c_ws, k_ws) = spmm_with_sched(
                     &me, &b, mapping, SchedMode::WorkStealing { workers });
                 prop_assert_eq!(
                     dense_bits(&c_seq), dense_bits(&c_ws),

@@ -23,8 +23,8 @@
 //! why that keeps the tests parallel-safe).
 
 use flashsparse::{
-    sddmm_with_mode, spmm_fp16_k16_with_mode, spmm_overlapped, spmm_with_mode, SchedMode,
-    TcuPrecision, ThreadMapping, TranslatedMatrix, TuneChoice,
+    sddmm_with_mode, spmm_overlapped, spmm_with_mode, SchedMode, TcuPrecision, ThreadMapping,
+    TranslatedMatrix, TuneChoice,
 };
 use fs_format::{MeBcrs, TcFormatSpec};
 use fs_matrix::gen::random_uniform;
@@ -157,8 +157,8 @@ fn spmm_k16_specials_are_bit_identical() {
         for n in WIDTHS {
             let b = special_dense::<F16>(csr.cols(), n, seed + n);
             for mapping in MAPPINGS {
-                let (c_sim, k_sim) = spmm_fp16_k16_with_mode(&me, &b, mapping, ExecMode::Simulate);
-                let (c_fast, k_fast) = spmm_fp16_k16_with_mode(&me, &b, mapping, ExecMode::Fast);
+                let (c_sim, k_sim) = spmm_with_mode(&me, &b, mapping, ExecMode::Simulate);
+                let (c_fast, k_fast) = spmm_with_mode(&me, &b, mapping, ExecMode::Fast);
                 let what = format!("k16 n={n} {mapping:?}");
                 assert_eq!(dense_bits(&c_sim), dense_bits(&c_fast), "{what} output");
                 assert_eq!(k_sim, k_fast, "{what} counters");
